@@ -40,7 +40,9 @@ use ppsim_runner::hash::{fnv1a64, hex64};
 use ppsim_runner::{pool, DiskCache};
 
 pub use gen::{generate, Form};
-pub use oracle::{check_fused, check_program, check_sampled, Cell, Divergence, DivergenceKind};
+#[allow(deprecated)]
+pub use oracle::check_fused;
+pub use oracle::{check_program, check_sampled, Cell, Divergence, DivergenceKind};
 pub use replay::{parse_repro_header, replay_repro, ReplayOutcome, ReproHeader};
 pub use shrink::shrink;
 
@@ -54,7 +56,9 @@ pub use shrink::shrink;
 /// lanes over one decode must match their solo replays bit for bit).
 /// v5: the TAGE frontier (tage, tage-h2p, tage-predicate) joins the
 /// scheme grid and a TAGE lane joins the fused-isolation lane set.
-const VERDICT_VERSION: &str = "ppsim-check v5";
+/// v6: the fused-isolation lanes leave the sweep with fused execution
+/// itself (cells per program go from 21 to 17).
+const VERDICT_VERSION: &str = "ppsim-check v6";
 
 /// Configuration for one [`run_check`] sweep.
 #[derive(Clone, Debug)]
@@ -196,23 +200,6 @@ pub(crate) static HOOK_LOCK: Mutex<()> = Mutex::new(());
 /// Minimizes a failing program, preserving the original divergence's
 /// cell and kind so the shrinker cannot slide onto a different bug.
 fn minimize(program: &Program, d: &Divergence, opts: &CheckOptions) -> (Program, String) {
-    // Fused-isolation failures are reproduced through the fused
-    // checker, not a grid cell.
-    if matches!(d.kind, DivergenceKind::FusedLaneMismatch { .. }) {
-        let want_cell = d.cell.clone();
-        let want_kind = std::mem::discriminant(&d.kind);
-        let minimized = shrink(program, opts.max_shrink_evals, |p| {
-            matches!(
-                oracle::check_fused(p, opts.fault),
-                Err(e) if e.cell == want_cell && std::mem::discriminant(&e.kind) == want_kind
-            )
-        });
-        let message = oracle::check_fused(&minimized, opts.fault)
-            .err()
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| d.to_string());
-        return (minimized, message);
-    }
     // Sampled-invariant failures are reproduced through the sampled
     // checker, not a grid cell.
     if matches!(
@@ -262,14 +249,10 @@ fn run_task(opts: &CheckOptions, cache_dir: Option<&PathBuf>, k: usize) -> TaskO
     }
 
     let program = generate(opts.seed, iter, form);
-    let outcome = check_program(&program, opts.fault)
-        .and_then(|cells| oracle::check_fused(&program, opts.fault).map(|lanes| cells + lanes))
-        .and_then(|cells| match opts.sample_epsilon {
-            Some(eps) => {
-                oracle::check_sampled(&program, opts.fault, eps).map(|extra| cells + extra)
-            }
-            None => Ok(cells),
-        });
+    let outcome = check_program(&program, opts.fault).and_then(|cells| match opts.sample_epsilon {
+        Some(eps) => oracle::check_sampled(&program, opts.fault, eps).map(|extra| cells + extra),
+        None => Ok(cells),
+    });
     match outcome {
         Ok(cells) => {
             if let Some(p) = &verdict_path {
@@ -314,8 +297,8 @@ fn run_task(opts: &CheckOptions, cache_dir: Option<&PathBuf>, k: usize) -> TaskO
 
 /// Runs the full differential sweep: `2 × iters` generated programs
 /// (branchy and if-converted forms), each checked across the full
-/// scheme × predication grid ([`Cell::grid`]) plus the fused cross-lane
-/// isolation lanes, in parallel, with passing verdicts cached.
+/// scheme × predication grid ([`Cell::grid`]), in parallel, with passing
+/// verdicts cached.
 pub fn run_check(opts: &CheckOptions) -> CheckReport {
     let cache_dir = if opts.use_cache {
         let dir = opts
@@ -378,9 +361,9 @@ mod tests {
         let report = run_check(&no_cache(0xC0FFEE, 5));
         assert!(report.passed(), "{:#?}", report.findings);
         assert_eq!(report.programs, 10);
-        // Full grid plus the fused lanes, per program — derived, so the
-        // sweep grows with the scheme registry.
-        let per_program = (Cell::grid().len() + oracle::FUSED_LANES.len()) as u64;
+        // The full grid per program — derived, so the sweep grows with
+        // the scheme registry.
+        let per_program = Cell::grid().len() as u64;
         assert_eq!(report.cells_checked, 10 * per_program);
         assert_eq!(report.cache_hits, 0);
         assert!(report.summary().contains("no divergences"));
@@ -416,34 +399,12 @@ mod tests {
         let report = run_check(&opts);
         assert!(report.passed(), "{:#?}", report.findings);
         assert_eq!(report.programs, 6);
-        let grid_only = 6 * (Cell::grid().len() + oracle::FUSED_LANES.len()) as u64;
+        let grid_only = 6 * Cell::grid().len() as u64;
         assert!(
             report.cells_checked > grid_only,
             "sampled checks must add cells beyond the {grid_only}-cell grid sweep: {}",
             report.cells_checked
         );
-    }
-
-    #[test]
-    fn injected_ghr_share_fault_is_caught_and_reproduced() {
-        let opts = CheckOptions {
-            fault: Some(TestFault::ShareGhr),
-            max_shrink_evals: 30,
-            ..no_cache(0xC0FFEE, 5)
-        };
-        let report = run_check(&opts);
-        assert!(!report.passed(), "a shared GHR must break fused isolation");
-        let f = &report.findings[0];
-        assert!(f.cell.ends_with("/fused"), "{}", f.cell);
-        assert!(
-            f.message.contains("fused lane diverged"),
-            "wrong divergence: {}",
-            f.message
-        );
-        // The minimized repro still fails through the fused checker.
-        let reparsed = ppsim_isa::parse_program(&f.repro).expect("repro reparses");
-        let d = oracle::check_fused(&reparsed, opts.fault).expect_err("repro still fails");
-        assert!(d.cell.ends_with("/fused"), "{}", d.cell);
     }
 
     #[test]

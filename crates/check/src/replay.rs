@@ -8,10 +8,10 @@
 //! ```
 //!
 //! [`replay_repro`] parses that header and re-runs the listing through
-//! the *same* oracle that recorded it: fused-isolation failures go back
-//! through [`crate::oracle::check_fused`], grid-cell failures through
-//! [`crate::oracle::check_single_cell`], and anything else (no header,
-//! `reference`, sampled labels) through the full sweep. The caller
+//! the *same* oracle that recorded it: grid-cell failures go back
+//! through [`crate::oracle::check_single_cell`], and anything else (no
+//! header, `reference`, sampled labels, or the `*/fused` labels of the
+//! retired fused-isolation check) through the full sweep. The caller
 //! learns whether the recorded divergence still reproduces — the
 //! `ppsim check --replay <file.pisa>` workflow for confirming a fix
 //! without re-fuzzing.
@@ -89,11 +89,9 @@ impl ReplayOutcome {
 }
 
 /// The fallback when no header (or an unrecognized cell label) routes
-/// the replay: the full grid plus the fused lanes.
+/// the replay: the full grid.
 fn full_sweep(program: &ppsim_isa::Program, fault: Option<TestFault>) -> (u64, Option<Divergence>) {
-    let outcome = oracle::check_program(program, fault)
-        .and_then(|cells| oracle::check_fused(program, fault).map(|lanes| cells + lanes));
-    match outcome {
+    match oracle::check_program(program, fault) {
         Ok(n) => (n, None),
         Err(d) => (0, Some(d)),
     }
@@ -113,17 +111,10 @@ pub fn replay_repro(source: &str, fault: Option<TestFault>) -> Result<ReplayOutc
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    let (checks, divergence) = match header.as_ref().map(|h| h.cell.as_str()) {
-        Some(cell) if cell.ends_with("/fused") => match oracle::check_fused(&program, fault) {
-            Ok(n) => (n, None),
+    let (checks, divergence) = match header.as_ref().and_then(|h| oracle::cell_by_label(&h.cell)) {
+        Some(cell) => match oracle::check_single_cell(&program, cell, fault) {
+            Ok(()) => (1, None),
             Err(d) => (0, Some(d)),
-        },
-        Some(cell) => match oracle::cell_by_label(cell) {
-            Some(c) => match oracle::check_single_cell(&program, c, fault) {
-                Ok(()) => (1, None),
-                Err(d) => (0, Some(d)),
-            },
-            None => full_sweep(&program, fault),
         },
         None => full_sweep(&program, fault),
     };
@@ -140,11 +131,12 @@ pub fn replay_repro(source: &str, fault: Option<TestFault>) -> Result<ReplayOutc
 mod tests {
     use super::*;
 
-    /// The seven divergences the fused lane-parallel engine shipped
-    /// with, pinned verbatim from the repros `ppsim check` dumped when
-    /// the bug was live (`check-failures/` itself is transient). All
-    /// were `predicate/selective/fused` cycle divergences; re-checking
-    /// them through the fused oracle keeps the fix honest.
+    /// The seven divergences the retired fused lane-parallel engine
+    /// shipped with, pinned verbatim from the repros `ppsim check` dumped
+    /// when the bug was live (`check-failures/` itself is transient). All
+    /// were `predicate/selective/fused` cycle divergences. They stay as
+    /// torture inputs for the whole grid, `predicate/selective` replay
+    /// included, and as legacy headers that replay must still accept.
     const PINNED_FUSED_REPROS: [(&str, &str); 7] = [
         (
             "seed-0-iter1-branchy",
@@ -261,8 +253,16 @@ mod tests {
     ];
 
     #[test]
-    fn pinned_fused_repros_stay_fixed() {
+    fn pinned_fused_repros_pass_the_full_grid() {
+        let grid = crate::oracle::Cell::grid().len() as u64;
         for (name, src) in PINNED_FUSED_REPROS {
+            let program = parse_program(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                oracle::check_program(&program, None),
+                Ok(grid),
+                "{name}: regressed"
+            );
+            // A legacy `*/fused` header routes to the full sweep.
             let header =
                 parse_repro_header(src).unwrap_or_else(|| panic!("{name}: header must parse"));
             assert!(header.cell.ends_with("/fused"), "{name}: {}", header.cell);
@@ -272,11 +272,7 @@ mod tests {
                 "{name}: regressed — {}",
                 out.divergence.unwrap()
             );
-            assert_eq!(
-                out.checks,
-                crate::oracle::FUSED_LANES.len() as u64,
-                "{name}: all fused lanes verified"
-            );
+            assert_eq!(out.checks, grid, "{name}: every grid cell verified");
         }
     }
 
@@ -313,9 +309,8 @@ mod tests {
         let src = "    movl r1 = 2\n.L1:\n    add r1 = r1, -1\n    cmp.unc.gt p1, p2 = r1, 0\n    (p1) br.cond .L1\n    halt\n";
         let out = replay_repro(src, None).unwrap();
         assert!(out.passed());
-        let full_sweep =
-            (crate::oracle::Cell::grid().len() + crate::oracle::FUSED_LANES.len()) as u64;
-        assert_eq!(out.checks, full_sweep, "all grid cells + all fused lanes");
+        let full_sweep = crate::oracle::Cell::grid().len() as u64;
+        assert_eq!(out.checks, full_sweep, "all grid cells");
         // Re-injecting a fault must make the same source diverge again —
         // replay has the same teeth as the sweep.
         let out = replay_repro(src, Some(TestFault::InvertOracle)).unwrap();

@@ -403,8 +403,7 @@ pub enum PlanSpec<'a> {
 /// daemon, the benchmark harness) build jobs through here and therefore
 /// share cache keys — and bytes — with batch runs. Multi-figure specs
 /// are deduplicated by canonical key, so cells shared between figures
-/// appear (and simulate) once; grids keep suite-major order, which the
-/// fused runner bundles into one decode pass per benchmark stream.
+/// appear (and simulate) once; grids keep suite-major order.
 pub fn plan(cfg: &ExperimentConfig, spec: PlanSpec) -> Vec<Job> {
     match spec {
         PlanSpec::Cell {
@@ -872,8 +871,8 @@ pub fn table1(cfg: &ExperimentConfig) -> String {
 
 /// Executes every cell of the consolidated report exactly once — the
 /// deduplicated [`PlanSpec::FullReport`] grid through one runner pass,
-/// where the fused runner bundles all same-stream cells into shared
-/// decode passes. Both report renderings ([`PlanResults::report_text`]
+/// where all cells of one benchmark stream replay a single capture. Both
+/// report renderings ([`PlanResults::report_text`]
 /// and [`PlanResults::report_json`]) assemble from the returned results
 /// without re-running anything.
 pub fn full_results(runner: &Runner, cfg: &ExperimentConfig) -> PlanResults {
@@ -883,8 +882,8 @@ pub fn full_results(runner: &Runner, cfg: &ExperimentConfig) -> PlanResults {
 impl PlanResults {
     /// Renders the consolidated text report (the body of `ppsim suite`)
     /// from results collected over [`PlanSpec::FullReport`]. The output
-    /// is deterministic: byte-identical for any worker count, cache
-    /// state, and fused or per-cell execution.
+    /// is deterministic: byte-identical for any worker count and cache
+    /// state.
     pub fn report_text(&self, cfg: &ExperimentConfig) -> String {
         let mut out = String::new();
         out.push_str(&table1(cfg));

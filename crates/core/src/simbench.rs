@@ -20,7 +20,7 @@ use std::time::Instant;
 use ppsim_compiler::{compile, spec2000_suite, CompileOptions};
 use ppsim_isa::Machine;
 use ppsim_pipeline::{
-    phases, LaneSet, PhaseReport, PredicationModel, SampleSpec, SchemeSpec, SimOptions, SimStats,
+    phases, PhaseReport, PredicationModel, SampleSpec, SchemeSpec, SimOptions, SimStats,
     TraceBuffer, TraceCursor,
 };
 
@@ -28,7 +28,7 @@ use crate::Json;
 
 /// The benchmarked grid: the paper's Figure-6a schemes on if-converted
 /// binaries, plus the selective-predication headline cell and a TAGE
-/// lane (the frontier scheme with the heaviest per-prediction work) —
+/// cell (the frontier scheme with the heaviest per-prediction work) —
 /// the cells a default suite sweep spends its time in.
 pub const CELLS: [(SchemeSpec, PredicationModel); 5] = [
     (SchemeSpec::PepPa, PredicationModel::Cmov),
@@ -49,8 +49,9 @@ pub struct BenchConfig {
     /// (lower median on even counts) and the minimum, so one noisy host
     /// scheduling event cannot masquerade as a regression.
     pub repeat: u32,
-    /// Also run one phase-profiled fused pass per benchmark and attach
-    /// the `process()` time attribution (see [`ppsim_pipeline::phases`]).
+    /// Also run one phase-profiled replay of every cell per benchmark and
+    /// attach the merged `process()` time attribution (see
+    /// [`ppsim_pipeline::phases`]).
     pub phases: bool,
 }
 
@@ -130,31 +131,23 @@ pub struct BenchRow {
     pub records: u64,
     /// Heap footprint of the capture in bytes.
     pub trace_bytes: usize,
-    /// Median wall time of one fused [`LaneSet`] pass running every cell
-    /// over a single decode of the capture (capture excluded, as for
-    /// replay).
-    pub fused_micros: u64,
-    /// Fastest fused repetition.
-    pub fused_min_micros: u64,
-    /// Whether every fused lane's statistics matched its solo replay, on
-    /// every repetition.
-    pub fused_identical: bool,
     /// Per-cell timings.
     pub cells: Vec<CellBench>,
-    /// Phase-profiled fused pass, when [`BenchConfig::phases`] is set.
+    /// Phase-profiled replays, when [`BenchConfig::phases`] is set.
     pub phases: Option<PhasesBench>,
 }
 
-/// One phase-profiled fused pass: where `process()` time went, plus the
-/// proof that profiling did not perturb the simulated statistics.
+/// Phase-profiled replays of every cell: where `process()` time went,
+/// plus the proof that profiling did not perturb the simulated
+/// statistics.
 #[derive(Clone, Debug)]
 pub struct PhasesBench {
-    /// Accumulated per-section attribution, merged across all lanes.
+    /// Accumulated per-section attribution, merged across all cells.
     pub report: PhaseReport,
-    /// Wall time of the whole profiled pass (decode + `process()`).
+    /// Wall time of the profiled replays, summed (decode + `process()`).
     pub wall_nanos: u64,
-    /// Whether every profiled lane's statistics matched its unprofiled
-    /// solo replay bit for bit.
+    /// Whether every profiled cell's statistics matched its unprofiled
+    /// replay bit for bit.
     pub identical: bool,
 }
 
@@ -223,27 +216,7 @@ impl BenchReport {
         self.rows.iter().flat_map(|r| &r.cells).all(|c| c.identical)
     }
 
-    /// Total fused simulation time, *including* each benchmark's one-off
-    /// capture — directly comparable to [`BenchReport::replay_micros`],
-    /// which pays the same captures but decodes once per cell.
-    pub fn fused_micros(&self) -> u64 {
-        self.rows
-            .iter()
-            .map(|r| r.capture_micros + r.fused_micros)
-            .sum()
-    }
-
-    /// Wall-clock speedup of the fused grid pass over per-cell replay.
-    pub fn fused_speedup(&self) -> f64 {
-        self.replay_micros() as f64 / self.fused_micros().max(1) as f64
-    }
-
-    /// Whether every fused lane matched its solo replay bit for bit.
-    pub fn fused_identical(&self) -> bool {
-        self.rows.iter().all(|r| r.fused_identical)
-    }
-
-    /// Merged phase attribution across every benchmark's profiled pass,
+    /// Merged phase attribution across every benchmark's profiled replays,
     /// `None` when the bench ran without [`BenchConfig::phases`].
     pub fn phases(&self) -> Option<PhasesBench> {
         let mut merged: Option<PhasesBench> = None;
@@ -286,9 +259,6 @@ impl BenchReport {
                 .field("capture_micros", r.capture_micros)
                 .field("records", r.records)
                 .field("trace_bytes", r.trace_bytes)
-                .field("fused_micros", r.fused_micros)
-                .field("fused_min_micros", r.fused_min_micros)
-                .field("fused_identical", r.fused_identical)
                 .field("cells", cells);
             if let Some(p) = &r.phases {
                 row = row.field("phases", p.to_json());
@@ -311,14 +281,6 @@ impl BenchReport {
                     .field("replay_micros", self.replay_micros())
                     .field("speedup", self.speedup())
                     .field("reports_identical", self.reports_identical()),
-            )
-            .field(
-                "fused",
-                Json::obj()
-                    .field("fused_micros", self.fused_micros())
-                    .field("per_cell_micros", self.replay_micros())
-                    .field("speedup", self.fused_speedup())
-                    .field("reports_identical", self.fused_identical()),
             );
         if let Some(p) = self.phases() {
             j = j.field("phases", p.to_json());
@@ -330,15 +292,13 @@ impl BenchReport {
     pub fn summary(&self) -> String {
         let mut s = format!(
             "{} benchmarks x {} cells: inline {:.2}s, replay {:.2}s (capture incl.), speedup {:.2}x, \
-             fused {:.2}s (speedup {:.2}x), reports {}",
+             reports {}",
             self.rows.len(),
             CELLS.len(),
             self.inline_micros() as f64 / 1e6,
             self.replay_micros() as f64 / 1e6,
             self.speedup(),
-            self.fused_micros() as f64 / 1e6,
-            self.fused_speedup(),
-            if self.reports_identical() && self.fused_identical() {
+            if self.reports_identical() {
                 "identical"
             } else {
                 "DIVERGED"
@@ -433,57 +393,31 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
             replay_stats_all.push(last_replay_stats.expect("repeat >= 1"));
         }
 
-        // One fused pass running every cell as a lane over a single
-        // decode of the same capture.
-        let lane_opts: Vec<SimOptions> = CELLS
-            .iter()
-            .map(|&(scheme, predication)| SimOptions::new(scheme, predication))
-            .collect();
-        let mut fused_times = Vec::with_capacity(repeat as usize);
-        let mut fused_identical = true;
-        for _ in 0..repeat {
-            let started = Instant::now();
-            let fused_runs = LaneSet::new(TraceCursor::new(Arc::clone(&trace)), &lane_opts)
-                .expect("bench cells carry no overrides")
-                .run(cfg.commits);
-            fused_times.push(started.elapsed().as_micros() as u64);
-            fused_identical &= fused_runs
-                .iter()
-                .zip(&replay_stats_all)
-                .all(|(lane, solo)| lane.stats == *solo);
-        }
-
-        // Optional phase-profiled fused pass: same cells, profiling on.
-        // Identity against the unprofiled solo runs proves the profiler
-        // is observation-only.
+        // Optional phase-profiled replay of every cell. Identity against
+        // the unprofiled replays proves the profiler is observation-only.
         let phases_bench = cfg.phases.then(|| {
-            let profiled_opts: Vec<SimOptions> = CELLS
-                .iter()
-                .map(|&(scheme, predication)| {
-                    SimOptions::new(scheme, predication).profile_phases(true)
-                })
-                .collect();
-            let started = Instant::now();
-            let mut set = LaneSet::new(TraceCursor::new(Arc::clone(&trace)), &profiled_opts)
-                .expect("bench cells carry no overrides");
-            let runs = set.run(cfg.commits);
-            let wall_nanos = started.elapsed().as_nanos() as u64;
-            let identical = runs
-                .iter()
-                .zip(&replay_stats_all)
-                .all(|(lane, solo)| lane.stats == *solo);
-            let mut report = PhaseReport {
-                nanos: [0; phases::COUNT],
-                records: 0,
+            let mut bench = PhasesBench {
+                report: PhaseReport {
+                    nanos: [0; phases::COUNT],
+                    records: 0,
+                },
+                wall_nanos: 0,
+                identical: true,
             };
-            for lane in set.phase_reports().into_iter().flatten() {
-                report.merge(&lane);
+            for (&(scheme, predication), solo) in CELLS.iter().zip(&replay_stats_all) {
+                let started = Instant::now();
+                let mut sim = SimOptions::new(scheme, predication)
+                    .profile_phases(true)
+                    .build_source(TraceCursor::new(Arc::clone(&trace)))
+                    .expect("bench cells carry no overrides");
+                let run = sim.run(cfg.commits);
+                bench.wall_nanos += started.elapsed().as_nanos() as u64;
+                bench.identical &= run.stats == *solo;
+                if let Some(report) = sim.phase_report() {
+                    bench.report.merge(&report);
+                }
             }
-            PhasesBench {
-                report,
-                wall_nanos,
-                identical,
-            }
+            bench
         });
 
         rows.push(BenchRow {
@@ -491,9 +425,6 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
             capture_micros,
             records: trace.len(),
             trace_bytes: trace.bytes(),
-            fused_micros: median(&mut fused_times),
-            fused_min_micros: fused_times[0],
-            fused_identical,
             cells,
             phases: phases_bench,
         });
@@ -529,11 +460,11 @@ impl TraceCellBench {
     }
 }
 
-/// The outcome of `ppsim bench` over an imported trace: per-cell solo
-/// replay timings plus one fused [`LaneSet`] pass, with bit-identity of
-/// the fused lanes against their solo runs. The inline-machine column of
-/// the synthetic bench has no analogue here — identity of fused vs solo
-/// replay is the checkable invariant an external stream offers.
+/// The outcome of `ppsim bench` over an imported trace: per-cell replay
+/// timings, with every cell replayed twice to prove the two runs agree
+/// bit for bit. The inline-machine column of the synthetic bench has no
+/// analogue here — no functional machine exists behind an external
+/// stream — so repeatability is the checkable invariant it offers.
 #[derive(Clone, Debug)]
 pub struct TraceBenchReport {
     /// Workload display name.
@@ -544,23 +475,16 @@ pub struct TraceBenchReport {
     pub records: u64,
     /// Heap footprint of the stream in bytes.
     pub trace_bytes: usize,
-    /// Per-cell solo replay timings.
+    /// Per-cell replay timings (first run).
     pub cells: Vec<TraceCellBench>,
-    /// Wall time of the fused pass running every cell over one decode.
-    pub fused_micros: u64,
-    /// Whether every fused lane's statistics matched its solo replay.
-    pub fused_identical: bool,
+    /// Whether every cell's repeated replay matched its first run.
+    pub identical: bool,
 }
 
 impl TraceBenchReport {
-    /// Total solo replay time.
+    /// Total replay time (first run of every cell).
     pub fn replay_micros(&self) -> u64 {
         self.cells.iter().map(|c| c.replay_micros).sum()
-    }
-
-    /// Wall-clock speedup of the fused pass over per-cell replay.
-    pub fn fused_speedup(&self) -> f64 {
-        self.replay_micros() as f64 / self.fused_micros.max(1) as f64
     }
 
     /// The machine-readable artifact (`BENCH_trace.json`).
@@ -585,26 +509,17 @@ impl TraceBenchReport {
             .field("records", self.records)
             .field("trace_bytes", self.trace_bytes)
             .field("cells", cells)
-            .field(
-                "fused",
-                Json::obj()
-                    .field("fused_micros", self.fused_micros)
-                    .field("per_cell_micros", self.replay_micros())
-                    .field("speedup", self.fused_speedup())
-                    .field("reports_identical", self.fused_identical),
-            )
+            .field("reports_identical", self.identical)
     }
 
     /// Human-readable summary for stderr.
     pub fn summary(&self) -> String {
         format!(
-            "trace '{}' x {} cells: replay {:.2}s, fused {:.2}s (speedup {:.2}x), lanes {}",
+            "trace '{}' x {} cells: replay {:.2}s, repeated replays {}",
             self.name,
             self.cells.len(),
             self.replay_micros() as f64 / 1e6,
-            self.fused_micros as f64 / 1e6,
-            self.fused_speedup(),
-            if self.fused_identical {
+            if self.identical {
                 "identical"
             } else {
                 "DIVERGED"
@@ -613,43 +528,30 @@ impl TraceBenchReport {
     }
 }
 
-/// Times an imported stream across [`CELLS`] solo and as one fused
-/// lane-parallel pass, proving bit-identity between the two paths.
+/// Times an imported stream across [`CELLS`], replaying every cell twice
+/// and checking that the repeat reproduces the first run bit for bit.
 pub fn run_trace(name: &str, trace: Arc<TraceBuffer>, commits: u64) -> TraceBenchReport {
     let mut cells = Vec::new();
-    let mut solo_stats = Vec::new();
+    let mut identical = true;
     for (scheme, predication) in CELLS {
         let opts = SimOptions::new(scheme, predication);
         let (stats, replay_micros) = run_replay(opts, Arc::clone(&trace), commits);
+        let (repeat, _) = run_replay(opts, Arc::clone(&trace), commits);
+        identical &= repeat == stats;
         cells.push(TraceCellBench {
             scheme,
             predication,
             committed: stats.committed,
             replay_micros,
         });
-        solo_stats.push(stats);
     }
-    let lane_opts: Vec<SimOptions> = CELLS
-        .iter()
-        .map(|&(scheme, predication)| SimOptions::new(scheme, predication))
-        .collect();
-    let started = Instant::now();
-    let fused_runs = LaneSet::new(TraceCursor::new(Arc::clone(&trace)), &lane_opts)
-        .expect("bench cells carry no overrides")
-        .run(commits);
-    let fused_micros = started.elapsed().as_micros() as u64;
-    let fused_identical = fused_runs
-        .iter()
-        .zip(&solo_stats)
-        .all(|(lane, solo)| lane.stats == *solo);
     TraceBenchReport {
         name: name.to_string(),
         commits,
         records: trace.len(),
         trace_bytes: trace.bytes(),
         cells,
-        fused_micros,
-        fused_identical,
+        identical,
     }
 }
 
@@ -906,11 +808,6 @@ mod tests {
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.rows[0].cells.len(), CELLS.len());
         assert!(report.reports_identical(), "{}", report.summary());
-        assert!(
-            report.fused_identical(),
-            "fused lanes diverged from solo replay: {}",
-            report.summary()
-        );
         assert!(report.rows[0].records > 0);
         assert!(report.rows[0].trace_bytes > 0);
         for c in &report.rows[0].cells {
@@ -924,15 +821,7 @@ mod tests {
                 .and_then(|a| a.get("reports_identical")),
             Some(&Json::Bool(true))
         );
-        assert_eq!(
-            parsed.get("fused").and_then(|f| f.get("reports_identical")),
-            Some(&Json::Bool(true)),
-            "{text}"
-        );
-        assert!(
-            parsed.get("fused").and_then(|f| f.get("speedup")).is_some(),
-            "{text}"
-        );
+        assert!(parsed.get("fused").is_none(), "{text}");
     }
 
     #[test]
@@ -982,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_bench_proves_fused_identity_on_an_imported_stream() {
+    fn trace_bench_proves_repeat_identity_on_an_imported_stream() {
         let mut log = String::new();
         for i in 0..300 {
             log.push_str(&format!(
@@ -994,7 +883,7 @@ mod tests {
         let (trace, _) = ppsim_isa::pptrace::import_cbp(&log).unwrap();
         let report = run_trace("cbp-fixture", Arc::new(trace), 10_000);
         assert_eq!(report.cells.len(), CELLS.len());
-        assert!(report.fused_identical, "{}", report.summary());
+        assert!(report.identical, "{}", report.summary());
         assert!(report.records > 0);
         for c in &report.cells {
             assert!(c.committed > 0, "{} committed nothing", c.label());
@@ -1002,7 +891,7 @@ mod tests {
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("trace bench artifact parses");
         assert_eq!(
-            parsed.get("fused").and_then(|f| f.get("reports_identical")),
+            parsed.get("reports_identical"),
             Some(&Json::Bool(true)),
             "{text}"
         );
@@ -1029,13 +918,12 @@ mod tests {
         });
         assert_eq!(report.repeat, 3);
         assert!(report.reports_identical(), "{}", report.summary());
-        assert!(report.fused_identical(), "{}", report.summary());
 
         let row = &report.rows[0];
         let p = row.phases.as_ref().expect("phases requested");
         assert!(
             p.identical,
-            "profiled lanes diverged from unprofiled replay"
+            "profiled replays diverged from unprofiled replay"
         );
         // Laps telescope: the bucket sum is exactly the measured
         // process() time, and process() time fits inside the pass wall.
@@ -1046,15 +934,14 @@ mod tests {
             p.report.total_nanos(),
             p.wall_nanos
         );
-        // One fused pass over CELLS lanes profiles each record once per
-        // lane.
+        // One profiled replay per cell profiles each record once per
+        // cell.
         assert_eq!(p.report.records, row.records * CELLS.len() as u64);
         // Min never exceeds the median it was sampled with.
         for c in &row.cells {
             assert!(c.inline_min_micros <= c.inline_micros);
             assert!(c.replay_min_micros <= c.replay_micros);
         }
-        assert!(row.fused_min_micros <= row.fused_micros);
 
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("bench artifact parses");

@@ -5,8 +5,8 @@
 //! ([`ppsim_isa::pptrace`]) or a CBP-style `{ip, taken}` branch log —
 //! and drives it through the exact machinery the synthetic suite uses:
 //! jobs are built with [`Job::traced`], executed via
-//! [`PlanResults::collect`] (so they share the runner's worker pool,
-//! fused lane bundling and on-disk cache), and rendered with the same
+//! [`PlanResults::collect`] (so they share the runner's worker pool and
+//! on-disk cache), and rendered with the same
 //! [`Table`]/[`Json`] surfaces as the paper figures.
 //!
 //! Because an imported stream has no functional machine behind it, these
@@ -309,7 +309,7 @@ impl TraceReport {
 /// Simulates `workload` across the [`FIG6A_SCHEMES`] columns through the
 /// Plan machinery ([`Job::traced`] cells, [`PlanResults::collect`]) and
 /// assembles the MPKI/H2P report. Deterministic: byte-identical for any
-/// worker count, cache state, and fused or per-cell execution.
+/// worker count and cache state.
 pub fn trace_report(
     runner: &Runner,
     cfg: &ExperimentConfig,

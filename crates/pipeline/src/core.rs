@@ -31,7 +31,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use ppsim_isa::{ExecInfo, ExecRecord, Insn, InsnSource, Machine, Program};
+use ppsim_isa::{ExecInfo, ExecRecord, InsnSource, Machine, Program};
 use ppsim_mem::{Hierarchy, HierarchyConfig, HierarchyStats};
 use ppsim_obs::{EventKind, EventRing, StallBucket, TraceEvent};
 use ppsim_predictors::{
@@ -342,7 +342,7 @@ impl Simulator {
         Simulator::from_options(program, SimOptions::new(scheme, predication).core(cfg))
     }
 
-    /// Builds from pre-validated options ([`SimOptions::build`] is the
+    /// Builds from pre-validated options ([`SimOptions::build_source`] is the
     /// public entry point).
     pub(crate) fn from_options(program: &Program, opts: SimOptions) -> Self {
         Simulator::from_source(Machine::new(program), opts)
@@ -415,15 +415,6 @@ impl<S: InsnSource> Simulator<S> {
         }
     }
 
-    /// Rebuilds the per-slot decode table from `code`. The fused-lane
-    /// driver ([`crate::LaneSet`]) builds its lanes on an empty
-    /// [`crate::NullSource`] and installs the shared capture's code
-    /// image here.
-    pub(crate) fn install_code(&mut self, code: &[Insn]) {
-        self.decode = DecodeTable::new(code);
-        self.branch_hist = vec![(0, 0); self.decode.len()];
-    }
-
     /// The accumulated phase attribution, when this simulator was built
     /// with [`SimOptions::profile_phases`].
     pub fn phase_report(&self) -> Option<PhaseReport> {
@@ -476,57 +467,15 @@ impl<S: InsnSource> Simulator<S> {
         self.finalize(halted)
     }
 
-    /// Feeds one externally-decoded record through the timing model,
-    /// bypassing this simulator's own source — the fused-lane driver
-    /// ([`crate::LaneSet`]) decodes each record once and steps every lane
-    /// with it. Exactly one instruction commits per record, so lanes
-    /// driven in lockstep stay in lockstep.
-    pub(crate) fn step(&mut self, rec: &ExecRecord) {
-        self.process(rec);
-    }
-
     /// Folds the end-of-run derived statistics (memory-hierarchy deltas
     /// relative to the measurement base, the per-branch histogram) into
-    /// the result. `run` and the fused-lane driver share this so a fused
-    /// lane's report is structurally identical to a solo run's.
-    pub(crate) fn finalize(&mut self, halted: bool) -> RunResult {
+    /// the result.
+    fn finalize(&mut self, halted: bool) -> RunResult {
         self.stats.mem = self.hierarchy.stats().delta_since(&self.mem_base);
         self.stats.branch_pcs = self.branch_histogram();
         RunResult {
             stats: self.stats.clone(),
             halted,
-        }
-    }
-
-    /// The first-level gshare's global-history register, `None` for
-    /// schemes without one. Fault-injection hook for the fused-lane
-    /// isolation check; never read on measurement runs.
-    #[doc(hidden)]
-    pub fn l1_ghr(&self) -> Option<u64> {
-        match &self.predictors {
-            Predictors::Conventional { l1, .. }
-            | Predictors::Predicate { l1, .. }
-            | Predictors::IdealPredicate { l1, .. }
-            | Predictors::TagePredicate { l1, .. } => Some(l1.ghr_value()),
-            Predictors::PepPa { .. }
-            | Predictors::IdealConventional { .. }
-            | Predictors::Tage { .. } => None,
-        }
-    }
-
-    /// Overwrites the first-level gshare's global-history register (no-op
-    /// for schemes without one). Fault-injection hook for the fused-lane
-    /// isolation check; never called on measurement runs.
-    #[doc(hidden)]
-    pub fn set_l1_ghr(&mut self, value: u64) {
-        match &mut self.predictors {
-            Predictors::Conventional { l1, .. }
-            | Predictors::Predicate { l1, .. }
-            | Predictors::IdealPredicate { l1, .. }
-            | Predictors::TagePredicate { l1, .. } => l1.set_ghr_value(value),
-            Predictors::PepPa { .. }
-            | Predictors::IdealConventional { .. }
-            | Predictors::Tage { .. } => {}
         }
     }
 

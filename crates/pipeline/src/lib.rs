@@ -46,7 +46,6 @@ mod config;
 mod core;
 pub mod decode;
 mod fxhash;
-mod lanes;
 mod options;
 pub mod phases;
 mod resources;
@@ -55,13 +54,11 @@ mod stats;
 
 pub use crate::core::{RunResult, Simulator};
 pub use config::{CoreConfig, Latencies, PredicationModel};
-pub use lanes::{LaneSet, NullSource};
 pub use options::{SimOptions, SimOptionsError, TestFault};
 pub use phases::PhaseReport;
 /// Re-exported trace-engine types: capture a program's dynamic stream
-/// once ([`TraceBuffer`]) and drive any number of timing cells from it —
-/// one cursor per solo cell ([`SimOptions::build_source`]) or one shared
-/// pass for a whole fused lane bundle ([`LaneSet`]).
+/// once ([`TraceBuffer`]) and drive any number of timing cells from it,
+/// one cursor per cell ([`SimOptions::build_source`]).
 pub use ppsim_isa::{InsnSource, TraceBuffer, TraceCursor};
 pub use ppsim_obs::{EventKind, EventRing, StallBreakdown, StallBucket, TraceEvent};
 pub use ppsim_predictors::SchemeSpec;

@@ -59,7 +59,7 @@ impl PhaseReport {
         self.nanos.iter().sum()
     }
 
-    /// Merges another report into this one (fused lanes aggregate).
+    /// Merges another report into this one (per-cell reports aggregate).
     pub fn merge(&mut self, other: &PhaseReport) {
         for (a, b) in self.nanos.iter_mut().zip(other.nanos) {
             *a += b;

@@ -53,14 +53,6 @@ impl Gshare {
         self.ghr.value()
     }
 
-    /// Overwrites the global history register. Fault-injection hook: the
-    /// fused-lane isolation check deliberately leaks one lane's history
-    /// into another and asserts the differential report catches it. Never
-    /// called on measurement runs.
-    pub fn set_ghr_value(&mut self, value: u64) {
-        self.ghr.set(value);
-    }
-
     /// Counter-table index for a branch: `(pc >> 4) ^ ghr`, masked.
     ///
     /// The 4-bit shift is exactly the bundle-slot spacing — `Program::pc_of`

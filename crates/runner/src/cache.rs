@@ -27,8 +27,10 @@
 //! job encoding (so a hash collision or a semantics change in any input
 //! axis reads as a miss, never as a wrong result), and the `end` sentinel
 //! (so a truncated write from a killed process reads as a miss). Stores
-//! write to a `.tmp` sibling and rename into place, which is atomic on
-//! POSIX — concurrent runs never observe half-written entries.
+//! write to a temp sibling unique to the write (`<hash16>.<pid>-<n>.tmp`)
+//! and rename it into place, which is atomic on POSIX — concurrent runs,
+//! even ones storing the same entry, never observe half-written entries
+//! or clobber each other's temp files.
 
 use std::fs;
 use std::io::Write as _;
@@ -62,6 +64,10 @@ use crate::job::{Job, JobResult};
 const HEADER: &str = "ppsim-cache v7";
 /// Last line; its absence marks a truncated entry.
 const FOOTER: &str = "end";
+
+/// Process-wide sequence number for temp-file names: together with the
+/// process id it gives every store, from any handle, its own temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// On-disk cache usage, as reported by [`DiskCache::usage`] and the
 /// `ppsim cache stats` subcommand.
@@ -140,11 +146,16 @@ impl DiskCache {
         Some(result)
     }
 
-    /// Stores the result for `job` atomically (`.tmp` + rename), then
-    /// enforces the byte budget if one is set.
+    /// Stores the result for `job` atomically (a temp file of its own,
+    /// then rename), then enforces the byte budget if one is set.
     pub fn store(&self, job: &Job, result: &JobResult) -> std::io::Result<()> {
         let path = self.entry_path(job);
-        let tmp = path.with_extension("tmp");
+        let tmp = self.dir.join(format!(
+            "{}.{}-{}.tmp",
+            job.hash_hex(),
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(render_entry(job, result).as_bytes())?;
@@ -587,6 +598,48 @@ mod tests {
         r.capture_micros = 603;
         r.sim_micros = 604;
         r
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_entry_never_collide() {
+        // Two handles on one directory (as two runners sharing a cache)
+        // store the same job over and over from two threads. Each write
+        // stages through its own temp file, so no store truncates or
+        // renames another's, and the entry stays loadable.
+        let dir = temp_dir("race");
+        let handles = [
+            DiskCache::open(&dir).unwrap(),
+            DiskCache::open(&dir).unwrap(),
+        ];
+        let (j, r) = (job(), result());
+        let start = std::sync::Barrier::new(handles.len());
+        std::thread::scope(|scope| {
+            for cache in &handles {
+                let (j, r, start) = (&j, &r, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        cache.store(j, r).expect("every store succeeds");
+                    }
+                });
+            }
+        });
+        for cache in &handles {
+            let loaded = cache.load(&j).expect("the entry loads");
+            assert_eq!(loaded.stats, r.stats);
+        }
+        let leftovers = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|d| d.path().extension().and_then(|e| e.to_str()) == Some("tmp"))
+            .count();
+        assert_eq!(leftovers, 0, "every temp file was renamed into place");
+        // A temp file orphaned by a killed writer is still one to clear().
+        let stray = dir.join(format!("{}.{}-7.tmp", j.hash_hex(), std::process::id()));
+        fs::write(&stray, b"half an entry").unwrap();
+        assert_eq!(handles[0].clear().unwrap(), 1, "one result entry");
+        assert!(!stray.exists(), "clear() removes stray temp files");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -292,12 +292,12 @@ pub struct JobResult {
     /// compile memo already held the binary).
     pub compile_micros: u64,
     /// Wall time of the trace-capture phase (0 for cache hits, for
-    /// trace-memo hits and on the inline-machine path).
+    /// trace-memo hits and for registered external traces).
     pub capture_micros: u64,
     /// Wall time of the simulate phase (0 for cache hits).
     pub sim_micros: u64,
-    /// Whether a replay job's trace came from the in-process memo
-    /// (always `false` for cache hits and inline jobs).
+    /// Whether the job's capture came from the in-process memo (always
+    /// `false` for cache hits and registered external traces).
     pub trace_memo_hit: bool,
 }
 

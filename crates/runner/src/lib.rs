@@ -30,8 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use ppsim_compiler::{compile, spec2000_suite, CompileOptions, Compiled, WorkloadSpec};
-use ppsim_isa::{Checkpoint, Machine};
-use ppsim_pipeline::{LaneSet, RunResult, SampleSpec, SimOptions, TraceBuffer, TraceCursor};
+use ppsim_pipeline::{SampleSpec, SimOptions, TraceBuffer, TraceCursor};
 
 pub use cache::{CacheUsage, DiskCache};
 pub use inflight::Inflight;
@@ -52,17 +51,6 @@ pub struct RunnerOptions {
     pub cache: bool,
     /// Cache directory override (`None` = [`DiskCache::default_dir`]).
     pub cache_dir: Option<PathBuf>,
-    /// Drive simulations from a shared captured trace (capture the
-    /// functional stream once per binary, replay it per cell). Disable to
-    /// force the legacy inline-machine path (`--no-replay`).
-    pub replay: bool,
-    /// Fuse cache-missing replay cells that share one stream (same
-    /// binary, commit budget and sample window) into a single
-    /// lane-parallel pass over the trace (`ppsim_pipeline::LaneSet`).
-    /// Disable to run every cell as its own job (`--no-fuse`). Results
-    /// and cache keys are identical either way; only wall time and
-    /// telemetry differ.
-    pub fuse: bool,
     /// Byte budget for the on-disk cache (`None` = unbounded). When set,
     /// every store evicts least-recently-used entries down to the cap.
     pub cache_max_bytes: Option<u64>,
@@ -74,18 +62,15 @@ impl Default for RunnerOptions {
             jobs: 0,
             cache: true,
             cache_dir: None,
-            replay: true,
-            fuse: true,
             cache_max_bytes: None,
         }
     }
 }
 
 impl RunnerOptions {
-    /// Parses `--jobs N`, `--no-cache`, `--cache-dir P`,
-    /// `--cache-max-bytes B`, `--no-replay` and `--no-fuse` from a raw
-    /// argument list, returning the validated options and the unconsumed
-    /// arguments.
+    /// Parses `--jobs N`, `--no-cache`, `--cache-dir P` and
+    /// `--cache-max-bytes B` from a raw argument list, returning the
+    /// validated options and the unconsumed arguments.
     pub fn from_args(args: &[String]) -> Result<(RunnerOptions, Vec<String>), String> {
         let mut opts = RunnerOptions::default();
         let mut rest = Vec::new();
@@ -115,15 +100,12 @@ impl RunnerOptions {
                         .map_err(|_| format!("bad --cache-max-bytes value `{v}`"))?;
                     opts.cache_max_bytes = Some(b);
                 }
-                "--no-replay" => opts.replay = false,
-                "--no-fuse" => opts.fuse = false,
                 _ => rest.push(a.clone()),
             }
         }
         opts.validate()?;
         Ok((opts, rest))
     }
-
     /// Rejects nonsensical combinations before they reach the pool: a
     /// worker count beyond [`MAX_JOBS`], an empty cache-directory path,
     /// or a byte budget on a disabled cache. `jobs == 0` remains the
@@ -171,21 +153,25 @@ pub struct Telemetry {
     pub wall_micros_total: u64,
     /// Fresh trace captures performed (one per (binary, budget) key).
     pub captures: u64,
-    /// Replay jobs whose trace came from the in-process memo.
+    /// Compiled-benchmark jobs whose trace came from the in-process memo.
     pub trace_memo_hits: u64,
     /// Wall time spent capturing traces, summed (µs).
     pub capture_micros_total: u64,
-    /// Entries dropped from the in-process memos (compile, trace,
-    /// checkpoint) by the size caps — relevant for long-lived runners
-    /// (`ppsim serve`), always 0 for one-shot grids.
+    /// Entries dropped from the in-process memos (compile, trace) by the
+    /// size caps — relevant for long-lived runners (`ppsim serve`),
+    /// always 0 for one-shot grids.
     pub memo_evictions: u64,
-    /// Fused lane-parallel trace passes executed (bundles of ≥ 2 cells
-    /// sharing one stream).
+    /// Always 0: every cache-missing cell runs as its own replay job.
+    #[deprecated(
+        note = "cells are no longer fused, so this is always 0; kept only so the \
+                benchmark harness builds, and removed with its next change"
+    )]
     pub fused_passes: u64,
-    /// Cells executed inside fused passes (the lanes). `fused_lanes /
-    /// fused_passes` is the lanes-per-pass ratio; cells run solo (no
-    /// fusable sibling, `--no-fuse`, or the inline path) appear in
-    /// `jobs_run` but not here.
+    /// Always 0: every cache-missing cell runs as its own replay job.
+    #[deprecated(
+        note = "cells are no longer fused, so this is always 0; kept only so the \
+                benchmark harness builds, and removed with its next change"
+    )]
     pub fused_lanes: u64,
     /// Per-simulated-job timing phases, in grid order. Capped at
     /// [`Telemetry::MAX_PER_JOB`] entries (oldest dropped) so a
@@ -194,9 +180,9 @@ pub struct Telemetry {
 }
 
 /// Wall-time phases of one simulated job: compilation (0 when the memo
-/// already held the binary), trace capture (0 on a trace-memo hit or on
-/// the inline path), simulation, and everything else (cache store,
-/// bookkeeping) folded into the total.
+/// already held the binary), trace capture (0 on a trace-memo hit or for
+/// a registered external trace), simulation, and everything else
+/// (simulator construction, bookkeeping) folded into the total.
 #[derive(Clone, Debug, Default)]
 pub struct JobTiming {
     /// The job's [`Job::label`].
@@ -207,7 +193,8 @@ pub struct JobTiming {
     pub compile_micros: u64,
     /// Time spent capturing the functional trace (µs).
     pub capture_micros: u64,
-    /// Time spent inside `Simulator::run` (µs).
+    /// Time spent replaying the cell's stream (`Simulator::run` or
+    /// `run_sample`, µs).
     pub sim_micros: u64,
 }
 
@@ -245,18 +232,9 @@ impl Telemetry {
         }
     }
 
-    /// Average lanes per fused pass (0 when no fused pass ran).
-    pub fn lanes_per_pass(&self) -> f64 {
-        if self.fused_passes == 0 {
-            0.0
-        } else {
-            self.fused_lanes as f64 / self.fused_passes as f64
-        }
-    }
-
-    /// Fraction of replay jobs whose capture was shared from the memo
-    /// (`trace_memo_hits / (trace_memo_hits + captures)`; 0 when no
-    /// replay job ran).
+    /// Fraction of compiled-benchmark jobs whose capture was shared from
+    /// the memo (`trace_memo_hits / (trace_memo_hits + captures)`; 0 when
+    /// no such job ran).
     pub fn trace_memo_hit_rate(&self) -> f64 {
         let lookups = self.trace_memo_hits + self.captures;
         if lookups == 0 {
@@ -278,9 +256,6 @@ impl Telemetry {
             .field("trace_memo_hit_rate", self.trace_memo_hit_rate())
             .field("capture_micros_total", self.capture_micros_total)
             .field("memo_evictions", self.memo_evictions)
-            .field("fused_passes", self.fused_passes)
-            .field("fused_lanes", self.fused_lanes)
-            .field("lanes_per_pass", self.lanes_per_pass())
             .field(
                 "per_job",
                 Json::Arr(
@@ -343,15 +318,15 @@ struct TraceKey {
     steps: u64,
 }
 
-/// Machine-checkpoint memo key: the binary identity plus the functional
-/// fast-forward distance. Sampled jobs on the inline (no-replay) path
-/// restore from these instead of re-running the skipped prefix; windows
-/// of one schedule each get their own key, but every scheme×predication
-/// cell at the same window shares one checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct CkptKey {
-    compile: CompileKey,
-    steps: u64,
+impl TraceKey {
+    /// The capture a job replays: `job.commits` records for a full run,
+    /// the schedule's whole span for a sampled window.
+    fn of(job: &Job) -> TraceKey {
+        TraceKey {
+            compile: CompileKey::of(job),
+            steps: job.sample.map_or(job.commits, |slice| slice.spec.span()),
+        }
+    }
 }
 
 /// One sampled grid cell after aggregation: the merged estimate plus the
@@ -379,9 +354,6 @@ pub struct Runner {
     /// Per-(binary, budget) captured-trace memo, same locking discipline
     /// as `compiled`: capture once, replay from every cell.
     traces: Mutex<HashMap<TraceKey, Arc<OnceLock<Arc<TraceBuffer>>>>>,
-    /// Per-(binary, fast-forward) machine-checkpoint memo for sampled
-    /// inline jobs: fast-forward once, restore per cell.
-    ckpts: Mutex<HashMap<CkptKey, Arc<OnceLock<Arc<Checkpoint>>>>>,
     /// Externally supplied trace streams, keyed by content hash (see
     /// [`Runner::register_trace`]). Unlike the capture memo these are
     /// provided, not derived, so they are never evicted: the runner
@@ -409,7 +381,6 @@ impl Runner {
             suite: spec2000_suite(),
             compiled: Mutex::new(HashMap::new()),
             traces: Mutex::new(HashMap::new()),
-            ckpts: Mutex::new(HashMap::new()),
             ext_traces: Mutex::new(HashMap::new()),
             telemetry: Mutex::new(Telemetry::default()),
         }
@@ -475,9 +446,10 @@ impl Runner {
     /// Runs a grid of jobs and returns results in grid order.
     ///
     /// Cache hits are resolved serially up front (file reads — not worth
-    /// threading); misses fan out over the pool. Results are assembled by
-    /// grid index, so the output order — and any report rendered from it —
-    /// is independent of worker count and scheduling.
+    /// threading); misses fan out over the pool, one cell per task.
+    /// Results are assembled by grid index, so the output order — and
+    /// any report rendered from it — is independent of worker count and
+    /// scheduling.
     pub fn run_grid(&self, jobs: &[Job]) -> Vec<JobResult> {
         // 1. Serial cache probe.
         let mut slots: Vec<Option<JobResult>> = match &self.cache {
@@ -485,74 +457,52 @@ impl Runner {
             None => vec![None; jobs.len()],
         };
 
-        // 2. Bundle the misses: replay cells sharing one stream fuse into
-        //    a single lane-parallel pass, everything else is a bundle of
-        //    one. Bundles fan out over the pool.
-        let miss_idx: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
-        let bundles = self.bundle_misses(jobs, &miss_idx);
-        let fresh = pool::run_indexed(bundles.len(), self.opts.effective_jobs(), |k| {
-            let members: Vec<&Job> = bundles[k].iter().map(|&i| &jobs[i]).collect();
-            if members.len() == 1 {
-                vec![self.execute(members[0])]
-            } else {
-                self.execute_fused(&members)
-            }
+        // 2. Simulate the misses, each cell on its own.
+        let misses = Self::stream_order(jobs, &slots);
+        let fresh = pool::run_indexed(misses.len(), self.opts.effective_jobs(), |k| {
+            self.execute(&jobs[misses[k]])
         });
 
-        // 3. Store fresh results and fill their slots — each cell under
-        //    its own unchanged canonical key, fused or not.
-        let mut fused_passes = 0u64;
-        let mut fused_lanes = 0u64;
-        for (bundle, results) in bundles.iter().zip(fresh) {
-            if bundle.len() > 1 {
-                fused_passes += 1;
-                fused_lanes += bundle.len() as u64;
+        // 3. Store fresh results and fill their slots.
+        for (&i, result) in misses.iter().zip(fresh) {
+            if let Some(cache) = &self.cache {
+                // A failed store is not fatal — the result is still
+                // good, the next run just recomputes.
+                let _ = cache.store(&jobs[i], &result);
             }
-            for (&i, result) in bundle.iter().zip(results) {
-                if let Some(cache) = &self.cache {
-                    // A failed store is not fatal — the result is still
-                    // good, the next run just recomputes.
-                    let _ = cache.store(&jobs[i], &result);
-                }
-                slots[i] = Some(result);
-            }
+            slots[i] = Some(result);
         }
 
         let results: Vec<JobResult> = slots
             .into_iter()
             .map(|s| s.expect("every slot filled"))
             .collect();
-        let mut telemetry = self.telemetry.lock().unwrap();
-        telemetry.absorb(jobs, &results);
-        telemetry.fused_passes += fused_passes;
-        telemetry.fused_lanes += fused_lanes;
-        drop(telemetry);
+        self.telemetry.lock().unwrap().absorb(jobs, &results);
         results
     }
 
-    /// Groups cache-miss indices into fused bundles. Cells fuse when the
-    /// fused path applies (trace replay on, fusion on) and they share the
-    /// stream identity — binary, commit budget and sample slice; each
-    /// group keeps grid order, and group order follows each stream's
-    /// first appearance, so scheduling stays deterministic.
-    fn bundle_misses(&self, jobs: &[Job], miss_idx: &[usize]) -> Vec<Vec<usize>> {
-        if !(self.opts.replay && self.opts.fuse) {
-            return miss_idx.iter().map(|&i| vec![i]).collect();
-        }
-        let mut order: Vec<(CompileKey, u64, Option<SampleSlice>, Option<TraceId>)> = Vec::new();
+    /// The indices of the cache misses, grouped by stream (binary, commit
+    /// budget and external trace), groups in order of first appearance
+    /// and grid order within each. The cells of one stream then run back
+    /// to back while its capture sits in the memo, instead of being
+    /// recaptured after the memo cap flushed it.
+    fn stream_order(jobs: &[Job], slots: &[Option<JobResult>]) -> Vec<usize> {
+        let mut keys: Vec<(TraceKey, Option<TraceId>)> = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for &i in miss_idx {
-            let job = &jobs[i];
-            let key = (CompileKey::of(job), job.commits, job.sample, job.trace);
-            match order.iter().position(|k| *k == key) {
+        for (i, job) in jobs.iter().enumerate() {
+            if slots[i].is_some() {
+                continue;
+            }
+            let key = (TraceKey::of(job), job.trace);
+            match keys.iter().position(|k| *k == key) {
                 Some(g) => groups[g].push(i),
                 None => {
-                    order.push(key);
+                    keys.push(key);
                     groups.push(vec![i]);
                 }
             }
         }
-        groups
+        groups.concat()
     }
 
     /// Runs a single job (grid of one).
@@ -620,7 +570,6 @@ impl Runner {
     /// (~5 B per captured record), so their cap is the tightest.
     const COMPILE_MEMO_CAP: usize = 256;
     const TRACE_MEMO_CAP: usize = 32;
-    const CKPT_MEMO_CAP: usize = 256;
 
     /// Flushes `map` when inserting a new `key` would exceed `cap`,
     /// recording the eviction count in telemetry.
@@ -660,21 +609,13 @@ impl Runner {
         .clone()
     }
 
-    /// Returns the shared capture of `steps` records for a job's binary,
+    /// Returns the shared capture a job replays (see [`TraceKey::of`]),
     /// capturing it on first use. Yields `(trace, capture_micros,
     /// memo_hit)`: `capture_micros` is nonzero only for the worker that
-    /// performed the capture. Full runs capture `job.commits` records;
-    /// sampled runs capture the schedule's span once and window into it.
-    fn trace_for(
-        &self,
-        job: &Job,
-        compiled: &Compiled,
-        steps: u64,
-    ) -> (Arc<TraceBuffer>, u64, bool) {
-        let key = TraceKey {
-            compile: CompileKey::of(job),
-            steps,
-        };
+    /// performed the capture.
+    fn trace_for(&self, job: &Job, compiled: &Compiled) -> (Arc<TraceBuffer>, u64, bool) {
+        let key = TraceKey::of(job);
+        let steps = key.steps;
         let cell = {
             let mut map = self.traces.lock().unwrap();
             self.bound_memo(&mut map, &key, Self::TRACE_MEMO_CAP);
@@ -695,41 +636,6 @@ impl Runner {
         (trace, capture_micros, !fresh)
     }
 
-    /// Returns the shared machine checkpoint `steps` committed
-    /// instructions into a job's binary, fast-forwarding the functional
-    /// emulator on first use. Yields `(checkpoint, ff_micros, memo_hit)`
-    /// with the same accounting convention as [`Runner::trace_for`].
-    fn checkpoint_for(
-        &self,
-        job: &Job,
-        compiled: &Compiled,
-        steps: u64,
-    ) -> (Arc<Checkpoint>, u64, bool) {
-        let key = CkptKey {
-            compile: CompileKey::of(job),
-            steps,
-        };
-        let cell = {
-            let mut map = self.ckpts.lock().unwrap();
-            self.bound_memo(&mut map, &key, Self::CKPT_MEMO_CAP);
-            Arc::clone(map.entry(key).or_default())
-        };
-        let mut ff_micros = 0u64;
-        let mut fresh = false;
-        let ckpt = cell
-            .get_or_init(|| {
-                fresh = true;
-                let started = Instant::now();
-                let mut m = Machine::new(&compiled.program);
-                m.run(steps)
-                    .unwrap_or_else(|e| panic!("functional machine died: {e}"));
-                ff_micros = started.elapsed().as_micros() as u64;
-                Arc::new(m.checkpoint())
-            })
-            .clone();
-        (ckpt, ff_micros, !fresh)
-    }
-
     /// The simulator options a job's cell axes translate to.
     fn sim_options_for(job: &Job) -> SimOptions {
         let mut opts = SimOptions::new(job.scheme, job.predication)
@@ -744,270 +650,47 @@ impl Runner {
         opts
     }
 
-    /// Runs a bundle of replay cells sharing one stream as a single
-    /// fused lane-parallel pass ([`LaneSet`]): the trace is decoded
-    /// once, every lane keeps its own complete timing state, and each
-    /// lane's result is bit-identical to its solo run.
-    ///
-    /// Accounting: the capture phase (and the memo-miss flag) is charged
-    /// to the first lane, mirroring the solo path where only the
-    /// capturing cell pays it; the shared pass's simulation time is
-    /// split evenly across lanes, so grid-level `sim_micros` sums stay
-    /// meaningful.
-    fn execute_fused(&self, members: &[&Job]) -> Vec<JobResult> {
-        let lead = members[0];
-        if let Some(id) = lead.trace {
-            // Bundles group by trace identity, so every member shares
-            // this registered stream.
-            return self.execute_fused_traced(members, id);
-        }
+    /// Simulates one cache-missing cell: gets its stream — a registered
+    /// external trace, or the compile+capture memo — then replays it,
+    /// whole or through the cell's sample window. Every phase is measured
+    /// on this cell alone, so `compile + capture + sim <= wall`.
+    fn execute(&self, job: &Job) -> JobResult {
         let started = Instant::now();
-        let compiled = self.compiled_for(lead);
-        let compile_micros = started.elapsed().as_micros() as u64;
-        let cells: Vec<SimOptions> = members.iter().map(|j| Self::sim_options_for(j)).collect();
-
-        let (runs, capture_micros, trace_memo_hit, sim_micros) = match lead.sample {
-            Some(slice) => {
-                let (trace, capture_micros, memo_hit) =
-                    self.trace_for(lead, &compiled, slice.spec.span());
-                let start = slice.spec.window_start(slice.index);
-                let cursor =
-                    TraceCursor::window(trace, start, slice.spec.warmup + slice.spec.measure);
-                let mut lanes = LaneSet::new(cursor, &cells)
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let runs = lanes.run_sample(slice.spec.warmup, slice.spec.measure);
-                (
-                    runs,
-                    capture_micros,
-                    memo_hit,
-                    sim_started.elapsed().as_micros() as u64,
-                )
-            }
+        let (trace, compile_micros, capture_micros, trace_memo_hit) = match job.trace {
+            Some(id) => (self.ext_trace(id), 0, 0, false),
             None => {
-                let (trace, capture_micros, memo_hit) =
-                    self.trace_for(lead, &compiled, lead.commits);
-                let mut lanes = LaneSet::new(TraceCursor::new(trace), &cells)
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let runs = lanes.run(lead.commits);
-                (
-                    runs,
-                    capture_micros,
-                    memo_hit,
-                    sim_started.elapsed().as_micros() as u64,
-                )
+                let compiled = self.compiled_for(job);
+                let compile_micros = started.elapsed().as_micros() as u64;
+                let (trace, capture_micros, memo_hit) = self.trace_for(job, &compiled);
+                (trace, compile_micros, capture_micros, memo_hit)
             }
         };
+        let static_insns = trace.code().len() as u64;
+        let static_cond_branches =
+            trace.code().iter().filter(|i| i.is_cond_branch()).count() as u64;
 
-        let wall_micros = started.elapsed().as_micros() as u64;
-        let static_insns = compiled.program.count_insns(|_| true) as u64;
-        let static_cond_branches = compiled.program.count_insns(|i| i.is_cond_branch()) as u64;
-        let n = members.len() as u64;
-        runs.into_iter()
-            .enumerate()
-            .map(|(lane, run)| JobResult {
-                stats: run.stats,
-                static_insns,
-                static_cond_branches,
-                from_cache: false,
-                wall_micros: wall_micros / n,
-                compile_micros: if lane == 0 { compile_micros } else { 0 },
-                capture_micros: if lane == 0 { capture_micros } else { 0 },
-                sim_micros: sim_micros / n,
-                trace_memo_hit: if lane == 0 { trace_memo_hit } else { true },
-            })
-            .collect()
-    }
-
-    /// Static-code counters of an external trace's synthesized or
-    /// exported code image (the compile-path equivalents come from the
-    /// compiled binary).
-    fn trace_static_counts(trace: &TraceBuffer) -> (u64, u64) {
-        let insns = trace.code().len() as u64;
-        let cond = trace.code().iter().filter(|i| i.is_cond_branch()).count() as u64;
-        (insns, cond)
-    }
-
-    /// Runs a fused bundle of cells over one registered external trace.
-    /// Same accounting as [`Runner::execute_fused`], minus the compile
-    /// and capture phases (an imported stream has neither).
-    fn execute_fused_traced(&self, members: &[&Job], id: TraceId) -> Vec<JobResult> {
-        let started = Instant::now();
-        let lead = members[0];
-        let trace = self.ext_trace(id);
-        let cells: Vec<SimOptions> = members.iter().map(|j| Self::sim_options_for(j)).collect();
-        let (runs, sim_micros) = match lead.sample {
-            Some(slice) => {
-                let start = slice.spec.window_start(slice.index);
-                let cursor = TraceCursor::window(
-                    Arc::clone(&trace),
-                    start,
-                    slice.spec.warmup + slice.spec.measure,
-                );
-                let mut lanes = LaneSet::new(cursor, &cells)
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let runs = lanes.run_sample(slice.spec.warmup, slice.spec.measure);
-                (runs, sim_started.elapsed().as_micros() as u64)
-            }
-            None => {
-                let mut lanes = LaneSet::new(TraceCursor::new(Arc::clone(&trace)), &cells)
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let runs = lanes.run(lead.commits);
-                (runs, sim_started.elapsed().as_micros() as u64)
-            }
+        let cursor = match job.sample {
+            Some(slice) => TraceCursor::window(
+                trace,
+                slice.spec.window_start(slice.index),
+                slice.spec.warmup + slice.spec.measure,
+            ),
+            None => TraceCursor::new(trace),
         };
-        let wall_micros = started.elapsed().as_micros() as u64;
-        let (static_insns, static_cond_branches) = Self::trace_static_counts(&trace);
-        let n = members.len() as u64;
-        runs.into_iter()
-            .map(|run| JobResult {
-                stats: run.stats,
-                static_insns,
-                static_cond_branches,
-                from_cache: false,
-                wall_micros: wall_micros / n,
-                compile_micros: 0,
-                capture_micros: 0,
-                sim_micros: sim_micros / n,
-                trace_memo_hit: false,
-            })
-            .collect()
-    }
-
-    /// Simulates one cell over a registered external trace. Imported
-    /// streams are replay-only — `--no-replay` selects the inline
-    /// functional machine, and no such machine exists for an external
-    /// stream — so this path ignores [`RunnerOptions::replay`].
-    fn execute_traced(&self, job: &Job, id: TraceId) -> JobResult {
-        let started = Instant::now();
-        let trace = self.ext_trace(id);
-        let opts = Self::sim_options_for(job);
-        let (run, sim_micros) = match job.sample {
-            Some(slice) => {
-                let start = slice.spec.window_start(slice.index);
-                let mut sim = opts
-                    .build_source(TraceCursor::window(
-                        Arc::clone(&trace),
-                        start,
-                        slice.spec.warmup + slice.spec.measure,
-                    ))
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let run = sim.run_sample(slice.spec.warmup, slice.spec.measure);
-                (run, sim_started.elapsed().as_micros() as u64)
-            }
-            None => {
-                let mut sim = opts
-                    .build_source(TraceCursor::new(Arc::clone(&trace)))
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let run = sim.run(job.commits);
-                (run, sim_started.elapsed().as_micros() as u64)
-            }
+        let mut sim = Self::sim_options_for(job)
+            .build_source(cursor)
+            .expect("grid jobs carry only applicable overrides");
+        let sim_started = Instant::now();
+        let run = match job.sample {
+            Some(slice) => sim.run_sample(slice.spec.warmup, slice.spec.measure),
+            None => sim.run(job.commits),
         };
-        let (static_insns, static_cond_branches) = Self::trace_static_counts(&trace);
+        let sim_micros = sim_started.elapsed().as_micros() as u64;
+
         JobResult {
             stats: run.stats,
             static_insns,
             static_cond_branches,
-            from_cache: false,
-            wall_micros: started.elapsed().as_micros() as u64,
-            compile_micros: 0,
-            capture_micros: 0,
-            sim_micros,
-            trace_memo_hit: false,
-        }
-    }
-
-    /// Compiles and simulates one job (a cache miss).
-    fn execute(&self, job: &Job) -> JobResult {
-        if let Some(id) = job.trace {
-            return self.execute_traced(job, id);
-        }
-        let started = Instant::now();
-        let compiled = self.compiled_for(job);
-        let compile_micros = started.elapsed().as_micros() as u64;
-
-        let opts = Self::sim_options_for(job);
-
-        let (run, capture_micros, trace_memo_hit, sim_micros): (RunResult, u64, bool, u64) =
-            match (job.sample, self.opts.replay) {
-                (Some(slice), true) => {
-                    // One capture spans the whole schedule; each window
-                    // job seeks a cursor into it.
-                    let (trace, capture_micros, memo_hit) =
-                        self.trace_for(job, &compiled, slice.spec.span());
-                    let start = slice.spec.window_start(slice.index);
-                    let mut sim = opts
-                        .build_source(TraceCursor::window(
-                            trace,
-                            start,
-                            slice.spec.warmup + slice.spec.measure,
-                        ))
-                        .expect("grid jobs carry only applicable overrides");
-                    let sim_started = Instant::now();
-                    let run = sim.run_sample(slice.spec.warmup, slice.spec.measure);
-                    (
-                        run,
-                        capture_micros,
-                        memo_hit,
-                        sim_started.elapsed().as_micros() as u64,
-                    )
-                }
-                (Some(slice), false) => {
-                    // Restore the shared checkpoint at the window start
-                    // instead of re-running the skipped prefix. The
-                    // fast-forward cost is charged to the capture phase —
-                    // it plays the same "position the functional stream"
-                    // role.
-                    let start = slice.spec.window_start(slice.index);
-                    let (ckpt, ff_micros, memo_hit) = self.checkpoint_for(job, &compiled, start);
-                    let mut machine = Machine::new(&compiled.program);
-                    machine.restore(&ckpt);
-                    let mut sim = opts
-                        .build_source(machine)
-                        .expect("grid jobs carry only applicable overrides");
-                    let sim_started = Instant::now();
-                    let run = sim.run_sample(slice.spec.warmup, slice.spec.measure);
-                    (
-                        run,
-                        ff_micros,
-                        memo_hit,
-                        sim_started.elapsed().as_micros() as u64,
-                    )
-                }
-                (None, true) => {
-                    let (trace, capture_micros, memo_hit) =
-                        self.trace_for(job, &compiled, job.commits);
-                    let mut sim = opts
-                        .build_source(TraceCursor::new(trace))
-                        .expect("grid jobs carry only applicable overrides");
-                    let sim_started = Instant::now();
-                    let run = sim.run(job.commits);
-                    (
-                        run,
-                        capture_micros,
-                        memo_hit,
-                        sim_started.elapsed().as_micros() as u64,
-                    )
-                }
-                (None, false) => {
-                    let mut sim = opts
-                        .build_source(Machine::new(&compiled.program))
-                        .expect("grid jobs carry only applicable overrides");
-                    let sim_started = Instant::now();
-                    let run = sim.run(job.commits);
-                    (run, 0, false, sim_started.elapsed().as_micros() as u64)
-                }
-            };
-
-        JobResult {
-            stats: run.stats,
-            static_insns: compiled.program.count_insns(|_| true) as u64,
-            static_cond_branches: compiled.program.count_insns(|i| i.is_cond_branch()) as u64,
             from_cache: false,
             wall_micros: started.elapsed().as_micros() as u64,
             compile_micros,
@@ -1077,24 +760,60 @@ mod tests {
         );
     }
 
+    /// Compiles `gzip` exactly as the runner does for [`tiny`] jobs.
+    fn gzip_program() -> ppsim_isa::Program {
+        let suite = spec2000_suite();
+        let spec = suite.iter().find(|s| s.name == "gzip").unwrap();
+        let mut opts = CompileOptions::no_ifconv();
+        opts.profile_steps = 20_000;
+        compile(spec, &opts).unwrap().program
+    }
+
     #[test]
     fn replay_matches_inline_bit_for_bit() {
-        let replay = Runner::serial_no_cache();
-        let inline = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            replay: false,
-            ..RunnerOptions::default()
-        });
+        let r = Runner::serial_no_cache();
+        let program = gzip_program();
         for scheme in [SchemeKind::Conventional, SchemeKind::Predicate] {
             let j = tiny(scheme);
-            let a = replay.run_job(&j);
-            let b = inline.run_job(&j);
+            let replayed = r.run_job(&j);
+            let inline = Runner::sim_options_for(&j)
+                .build_source(ppsim_isa::Machine::new(&program))
+                .unwrap()
+                .run(j.commits);
             assert_eq!(
-                a.stats, b.stats,
+                replayed.stats, inline.stats,
                 "trace replay must be invisible to statistics ({scheme:?})"
             );
         }
+    }
+
+    #[test]
+    fn per_cell_phases_nest_inside_each_cells_wall_time() {
+        // Three cells share one stream: the first compiles and captures,
+        // the others replay the memoized capture. Each cell's phases are
+        // measured on that cell alone, so they fit inside its own wall.
+        let r = Runner::serial_no_cache();
+        let grid = vec![
+            tiny(SchemeKind::Conventional),
+            tiny(SchemeKind::PepPa),
+            tiny(SchemeKind::Predicate),
+            tiny(SchemeKind::Tage),
+        ];
+        let out = r.run_grid(&grid);
+        for (res, job) in out.iter().zip(&grid) {
+            assert!(!res.from_cache);
+            assert!(res.sim_micros > 0, "{}: replay time measured", job.label());
+            assert!(
+                res.compile_micros + res.capture_micros + res.sim_micros <= res.wall_micros,
+                "{}: compile {} + capture {} + sim {} > wall {}",
+                job.label(),
+                res.compile_micros,
+                res.capture_micros,
+                res.sim_micros,
+                res.wall_micros
+            );
+        }
+        assert!(out[0].capture_micros > 0, "the first cell captures");
     }
 
     #[test]
@@ -1176,7 +895,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_inline_matches_sampled_replay() {
+    fn sampled_windows_match_inline_fast_forward() {
         let spec = SampleSpec {
             skip: 1_500,
             warmup: 400,
@@ -1184,114 +903,51 @@ mod tests {
             stride: 1_500,
             count: 2,
         };
-        let replay = Runner::serial_no_cache();
-        let inline = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            replay: false,
-            ..RunnerOptions::default()
-        });
+        let r = Runner::serial_no_cache();
+        let program = gzip_program();
         for scheme in [SchemeKind::Conventional, SchemeKind::Predicate] {
             let j = tiny(scheme);
-            let a = replay.run_job_sampled(&j, spec);
-            let b = inline.run_job_sampled(&j, spec);
-            assert_eq!(
-                a.aggregate.stats, b.aggregate.stats,
-                "checkpoint restore and trace window must agree ({scheme:?})"
-            );
-            for (x, y) in a.samples.iter().zip(&b.samples) {
-                assert_eq!(x.stats, y.stats, "{scheme:?}: per-window agreement");
+            let replayed = r.run_job_sampled(&j, spec);
+            for (index, window) in replayed.samples.iter().enumerate() {
+                let mut machine = ppsim_isa::Machine::new(&program);
+                machine.run(spec.window_start(index as u32)).unwrap();
+                let inline = Runner::sim_options_for(&j)
+                    .build_source(machine)
+                    .unwrap()
+                    .run_sample(spec.warmup, spec.measure);
+                assert_eq!(
+                    window.stats, inline.stats,
+                    "{scheme:?} window {index}: trace window and inline fast-forward must agree"
+                );
             }
         }
-        assert_eq!(
-            inline.ckpts.lock().unwrap().len(),
-            2,
-            "one checkpoint per window start, shared across schemes"
-        );
     }
 
     #[test]
-    fn fused_grid_matches_per_cell_bit_for_bit() {
-        let fused = Runner::serial_no_cache();
-        let solo = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            fuse: false,
-            ..RunnerOptions::default()
-        });
-        let grid = vec![
-            tiny(SchemeKind::Conventional),
-            tiny(SchemeKind::PepPa),
-            tiny(SchemeKind::Predicate),
-        ];
-        let a = fused.run_grid(&grid);
-        let b = solo.run_grid(&grid);
-        for ((x, y), job) in a.iter().zip(&b).zip(&grid) {
-            assert_eq!(
-                x.stats,
-                y.stats,
-                "fusion must be invisible to statistics ({})",
-                job.label()
-            );
-        }
-        let tf = fused.telemetry();
-        assert_eq!(tf.fused_passes, 1, "three cells share one stream");
-        assert_eq!(tf.fused_lanes, 3);
-        assert!((tf.lanes_per_pass() - 3.0).abs() < 1e-12);
-        let ts = solo.telemetry();
-        assert_eq!(ts.fused_passes, 0, "--no-fuse runs cells solo");
-        assert_eq!(ts.fused_lanes, 0);
-    }
-
-    #[test]
-    fn fused_sampled_grid_matches_per_cell() {
-        let spec = SampleSpec {
-            skip: 1_000,
-            warmup: 500,
-            measure: 1_000,
-            stride: 2_000,
-            count: 2,
-        };
-        let fused = Runner::serial_no_cache();
-        let solo = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            fuse: false,
-            ..RunnerOptions::default()
-        });
-        let grid = vec![tiny(SchemeKind::Conventional), tiny(SchemeKind::Predicate)];
-        let a = fused.run_grid_sampled(&grid, spec);
-        let b = solo.run_grid_sampled(&grid, spec);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.aggregate.stats, y.aggregate.stats);
-            for (xs, ys) in x.samples.iter().zip(&y.samples) {
-                assert_eq!(xs.stats, ys.stats, "per-window agreement");
-            }
-        }
-        // Two cells × two windows → one fused pass per window.
-        assert_eq!(fused.telemetry().fused_passes, 2);
-        assert_eq!(fused.telemetry().fused_lanes, 4);
-    }
-
-    #[test]
-    fn mixed_budgets_only_fuse_matching_streams() {
+    fn misses_run_grouped_by_stream_in_first_appearance_order() {
         let r = Runner::serial_no_cache();
+        let id = r.register_trace(gzip_trace(2_000), false);
         let long = Job {
             commits: 6_000,
             ..tiny(SchemeKind::Conventional)
         };
+        let traced = Job {
+            trace: Some(id),
+            ..tiny(SchemeKind::Conventional)
+        };
         let grid = vec![
             tiny(SchemeKind::Conventional),
-            long,
+            long.clone(),
+            traced.clone(),
             tiny(SchemeKind::Predicate),
+            traced,
+            long,
         ];
-        r.run_grid(&grid);
-        let t = r.telemetry();
-        assert_eq!(
-            t.fused_passes, 1,
-            "only the two same-budget cells share a stream"
-        );
-        assert_eq!(t.fused_lanes, 2);
+        let mut slots = vec![None; grid.len()];
+        assert_eq!(Runner::stream_order(&grid, &slots), vec![0, 3, 1, 5, 2, 4]);
+        // Cache hits are not scheduled at all.
+        slots[0] = Some(r.run_job(&grid[0]));
+        assert_eq!(Runner::stream_order(&grid, &slots), vec![1, 5, 2, 4, 3]);
     }
 
     #[test]
@@ -1302,7 +958,6 @@ mod tests {
             "--jobs",
             "4",
             "--no-cache",
-            "--no-replay",
             "--cache-dir",
             "/tmp/c",
         ]
@@ -1312,7 +967,6 @@ mod tests {
         let (opts, rest) = RunnerOptions::from_args(&args).unwrap();
         assert_eq!(opts.jobs, 4);
         assert!(!opts.cache);
-        assert!(!opts.replay);
         assert_eq!(
             opts.cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/c"))
@@ -1395,15 +1049,9 @@ mod tests {
         assert!(r.probe(&tiny(SchemeKind::Conventional)).is_none());
     }
 
-    /// Compiles `gzip` exactly as the runner does for [`tiny`] jobs and
-    /// captures `steps` records of its stream.
+    /// Captures `steps` records of [`gzip_program`]'s stream.
     fn gzip_trace(steps: u64) -> Arc<TraceBuffer> {
-        let suite = spec2000_suite();
-        let spec = suite.iter().find(|s| s.name == "gzip").unwrap();
-        let mut opts = CompileOptions::no_ifconv();
-        opts.profile_steps = 20_000;
-        let compiled = compile(spec, &opts).unwrap();
-        Arc::new(TraceBuffer::capture(&compiled.program, steps).unwrap())
+        Arc::new(TraceBuffer::capture(&gzip_program(), steps).unwrap())
     }
 
     #[test]
@@ -1435,68 +1083,6 @@ mod tests {
         let b = r.register_trace(gzip_trace(2_000), false);
         assert_eq!(a, b, "content-addressed identity");
         assert_eq!(r.ext_traces.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn fused_trace_grid_matches_solo_trace_cells() {
-        let fused = Runner::serial_no_cache();
-        let solo = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            fuse: false,
-            ..RunnerOptions::default()
-        });
-        let trace = gzip_trace(5_000);
-        let fid = fused.register_trace(Arc::clone(&trace), false);
-        let sid = solo.register_trace(trace, false);
-        assert_eq!(fid, sid);
-        let grid = |id| {
-            vec![
-                Job {
-                    trace: Some(id),
-                    ..tiny(SchemeKind::Conventional)
-                },
-                Job {
-                    trace: Some(id),
-                    ..tiny(SchemeKind::PepPa)
-                },
-                Job {
-                    trace: Some(id),
-                    ..tiny(SchemeKind::Predicate)
-                },
-            ]
-        };
-        let a = fused.run_grid(&grid(fid));
-        let b = solo.run_grid(&grid(sid));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.stats, y.stats,
-                "fusion is invisible over imported streams"
-            );
-        }
-        assert_eq!(fused.telemetry().fused_passes, 1);
-        assert_eq!(fused.telemetry().fused_lanes, 3);
-    }
-
-    #[test]
-    fn trace_and_benchmark_cells_never_fuse_together() {
-        let r = Runner::serial_no_cache();
-        let id = r.register_trace(gzip_trace(5_000), false);
-        let grid = vec![
-            tiny(SchemeKind::Conventional),
-            Job {
-                trace: Some(id),
-                ..tiny(SchemeKind::Predicate)
-            },
-            tiny(SchemeKind::Predicate),
-        ];
-        r.run_grid(&grid);
-        let t = r.telemetry();
-        assert_eq!(
-            t.fused_passes, 1,
-            "only the two benchmark cells share a stream"
-        );
-        assert_eq!(t.fused_lanes, 2);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! ppsim run <file.s> [--scheme S] [--commits N] [--trace-events N] [--tiny]
 //! ppsim compile <benchmark> [--ifconv] [--listing]
 //! ppsim bench [benchmark] [--only a,b] [--commits N] [--json P] [--repeat N] [--phases] [--sample [SPEC]] [--trace FILE]
-//! ppsim suite [--jobs N] [--no-cache] [--no-replay] [--no-fuse] [--cache-dir P] [--json P] [--commits N] [--only a,b] [--sample [SPEC]]
+//! ppsim suite [--jobs N] [--no-cache] [--cache-dir P] [--json P] [--commits N] [--only a,b] [--sample [SPEC]]
 //! ppsim check [--seed S] [--iters N] [--fault F] [--dump DIR] [--jobs N] [--no-cache] [--sample-epsilon E] [--replay FILE.pisa]
 //! ppsim trace export <benchmark> <out.pptrace> [--commits N] [--ifconv] [--note S]
-//! ppsim trace import <file> [--commits N] [--top N] [--name S] [--json P] [--jobs N] [--no-cache] [--cache-dir P] [--no-fuse]
+//! ppsim trace import <file> [--commits N] [--top N] [--name S] [--json P] [--jobs N] [--no-cache] [--cache-dir P]
 //! ppsim trace info <file.pptrace>
 //! ppsim serve [--addr A] [--jobs N] [--max-clients N] [--cache-dir P] [--cache-max-bytes B]
 //! ppsim submit [request.json|-] [--addr A] [--raw PATH] [--quiet]
@@ -26,7 +26,7 @@
 //! with `--sample`,
 //! every cell run full-length *and* through the Pinpoint-style sampled
 //! path, reporting misprediction error and wall-clock speedup; with
-//! `--trace FILE`, solo-vs-fused identity over an imported stream) —
+//! `--trace FILE`, repeat-replay identity over an imported stream) —
 //! `suite` regenerates the paper's full evaluation through the parallel
 //! runner (with `--sample`, through checkpointed sample windows),
 //! `check` fuzzes the timing model against the architectural emulator
@@ -60,7 +60,7 @@ use ppsim::pipeline::TestFault;
 use ppsim::prelude::*;
 use ppsim::serve::{install_sigint_handler, submit, ServeOptions, Server, SubmitOptions};
 
-const FAULTS: &str = "invert-oracle|invert-early-resolve|share-ghr";
+const FAULTS: &str = "invert-oracle|invert-early-resolve";
 
 /// `a|b|c` listing of every registered scheme, derived from
 /// [`SchemeSpec::ALL`] so the usage text can never lag the registry.
@@ -75,7 +75,7 @@ fn schemes_help() -> String {
 fn usage_text() -> String {
     let schemes = schemes_help();
     format!(
-        "usage:\n  ppsim run <file.s> [--scheme {schemes}] [--commits N] [--trace-events N] [--tiny]\n  ppsim compile <benchmark> [--ifconv] [--listing]\n  ppsim bench [benchmark] [--only a,b] [--commits N] [--json PATH] [--repeat N] [--phases] [--sample [SPEC]] [--trace FILE]\n  ppsim suite [--jobs N] [--no-cache] [--no-replay] [--no-fuse] [--cache-dir PATH] [--json PATH] [--commits N] [--only a,b] [--sample [SPEC]]\n  ppsim check [--seed S] [--iters N] [--fault {FAULTS}] [--dump DIR] [--jobs N] [--no-cache] [--cache-dir PATH] [--sample-epsilon E] [--replay FILE.pisa]\n  ppsim trace export <benchmark> <out.pptrace> [--commits N] [--ifconv] [--note S]\n  ppsim trace import <file> [--commits N] [--top N] [--name S] [--json PATH] [--jobs N] [--no-cache] [--cache-dir PATH] [--no-fuse]\n  ppsim trace info <file.pptrace>\n  ppsim serve [--addr A] [--jobs N] [--max-clients N] [--cache-dir PATH] [--cache-max-bytes B]\n  ppsim submit [request.json|-] [--addr A] [--raw PATH] [--quiet]\n  ppsim cache stats|clear [--cache-dir PATH]\n  ppsim list\n(SPEC = skip:warmup:measure:stride:count; bare --sample = {}; trace import\n accepts .pptrace files and CBP-style `<ip> <taken>` branch logs)",
+        "usage:\n  ppsim run <file.s> [--scheme {schemes}] [--commits N] [--trace-events N] [--tiny]\n  ppsim compile <benchmark> [--ifconv] [--listing]\n  ppsim bench [benchmark] [--only a,b] [--commits N] [--json PATH] [--repeat N] [--phases] [--sample [SPEC]] [--trace FILE]\n  ppsim suite [--jobs N] [--no-cache] [--cache-dir PATH] [--json PATH] [--commits N] [--only a,b] [--sample [SPEC]]\n  ppsim check [--seed S] [--iters N] [--fault {FAULTS}] [--dump DIR] [--jobs N] [--no-cache] [--cache-dir PATH] [--sample-epsilon E] [--replay FILE.pisa]\n  ppsim trace export <benchmark> <out.pptrace> [--commits N] [--ifconv] [--note S]\n  ppsim trace import <file> [--commits N] [--top N] [--name S] [--json PATH] [--jobs N] [--no-cache] [--cache-dir PATH]\n  ppsim trace info <file.pptrace>\n  ppsim serve [--addr A] [--jobs N] [--max-clients N] [--cache-dir PATH] [--cache-max-bytes B]\n  ppsim submit [request.json|-] [--addr A] [--raw PATH] [--quiet]\n  ppsim cache stats|clear [--cache-dir PATH]\n  ppsim list\n(SPEC = skip:warmup:measure:stride:count; bare --sample = {}; trace import\n accepts .pptrace files and CBP-style `<ip> <taken>` branch logs)",
         SampleSpec::default_spec().canon()
     )
 }
@@ -110,8 +110,6 @@ const RUNNER_FLAGS: &[(&str, Arity)] = &[
     ("--no-cache", Arity::Switch),
     ("--cache-dir", Arity::Value),
     ("--cache-max-bytes", Arity::Value),
-    ("--no-replay", Arity::Switch),
-    ("--no-fuse", Arity::Switch),
 ];
 
 /// Strict argument validation: every flag must appear in `spec`, and at
@@ -584,7 +582,8 @@ fn main() -> ExitCode {
             // Exit code 1 if any cell's statistics diverge between the
             // two paths (the bit-identity guarantee the replay engine
             // rests on). With `--trace FILE`, times an imported stream
-            // solo-vs-fused instead (no inline machine exists there).
+            // and checks that repeated replays agree instead (no inline
+            // machine exists there).
             if let Err(e) = reject_unknown(
                 "bench",
                 &flags.args,
@@ -640,7 +639,7 @@ fn main() -> ExitCode {
                 }
                 eprintln!("bench: wrote {out}");
                 println!("bench: {}", report.summary());
-                return if report.fused_identical {
+                return if report.identical {
                     ExitCode::SUCCESS
                 } else {
                     ExitCode::FAILURE
@@ -801,7 +800,6 @@ fn main() -> ExitCode {
                 None => None,
                 Some("invert-oracle") => Some(TestFault::InvertOracle),
                 Some("invert-early-resolve") => Some(TestFault::InvertEarlyResolve),
-                Some("share-ghr") => Some(TestFault::ShareGhr),
                 Some(other) => {
                     eprintln!("check: unknown --fault `{other}` (expected {FAULTS})");
                     return ExitCode::FAILURE;

@@ -204,7 +204,7 @@ fn check_replay_reruns_a_dumped_repro() {
 }
 
 #[test]
-fn bench_trace_verifies_fused_identity_on_an_import() {
+fn bench_trace_verifies_replay_identity_on_an_import() {
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/cbp-branches.txt");
     let json = scratch("bench-trace.json");
     let out = ppsim(&[

@@ -181,63 +181,16 @@ fn json_report_round_trips_and_carries_metrics() {
 }
 
 #[test]
-fn fused_fig6a_grid_preserves_cross_lane_isolation() {
-    // The fused path's acceptance gate, end to end: the FULL Figure-6a
-    // grid (every benchmark × every scheme column) run as fused lanes
-    // must report per-cell statistics identical to dedicated per-cell
-    // jobs. Any cross-lane state leak — a shared predictor table, a
-    // polluted history register, a resource ledger carried between
-    // lanes — shows up as a SimStats diff on some cell.
-    let cfg = ExperimentConfig {
-        commits: 8_000,
-        profile_steps: 20_000,
-        ..ExperimentConfig::default()
-    };
-    let jobs = experiments::plan(&cfg, experiments::PlanSpec::Fig6a);
-    assert!(jobs.len() >= 60, "full grid: {} cells", jobs.len());
-
-    let fused = runner(4, None);
-    let solo = Runner::new(RunnerOptions {
-        jobs: 4,
-        fuse: false,
-        ..RunnerOptions::default()
-    });
-    let a = fused.run_grid(&jobs);
-    let b = solo.run_grid(&jobs);
-    for ((job, fa), fb) in jobs.iter().zip(&a).zip(&b) {
-        assert_eq!(
-            fa.stats,
-            fb.stats,
-            "cell {} diverged when fused",
-            job.canon()
-        );
-        assert_eq!(fa.static_insns, fb.static_insns, "{}", job.canon());
-    }
-
-    // And the fused runner genuinely fused: one multi-lane pass per
-    // benchmark stream, one lane per scheme column, none on the solo
-    // runner.
-    let t = fused.telemetry();
-    assert_eq!(t.fused_lanes, jobs.len() as u64);
-    assert_eq!(
-        t.fused_passes,
-        t.fused_lanes / experiments::FIG6A_SCHEMES.len() as u64,
-        "every scheme column fused into each stream's pass"
-    );
-    assert_eq!(solo.telemetry().fused_passes, 0);
-}
-
-#[test]
-fn fused_fig6a_identity_survives_tracing_and_phase_profiling() {
+fn fig6a_identity_survives_tracing_and_phase_profiling() {
     // Event tracing and phase profiling are monomorphized variants of
     // the same record loop; both must be observation-only. This pins the
-    // fig-6a scheme columns, fused, in all four instantiations of the
-    // loop against the plain solo replay of each cell.
+    // fig-6a scheme columns, each replayed on its own, in all four
+    // instantiations of the loop against the plain replay of each cell.
     use std::sync::Arc;
 
     use ppsim::compiler::{compile, spec2000_suite, CompileOptions};
     use ppsim::core::experiments::FIG6A_SCHEMES;
-    use ppsim::pipeline::{LaneSet, SimOptions, TraceBuffer, TraceCursor};
+    use ppsim::pipeline::{SimOptions, TraceBuffer, TraceCursor};
 
     const COMMITS: u64 = 8_000;
     let spec = spec2000_suite()
@@ -246,55 +199,44 @@ fn fused_fig6a_identity_survives_tracing_and_phase_profiling() {
         .expect("gzip is in the suite");
     let compiled = compile(&spec, &CompileOptions::with_ifconv()).expect("gzip compiles");
     let trace = Arc::new(TraceBuffer::capture(&compiled.program, COMMITS).expect("capture"));
-
-    let solo: Vec<_> = FIG6A_SCHEMES
-        .iter()
-        .map(|&(scheme, predication, _)| {
-            SimOptions::new(scheme, predication)
-                .build_source(TraceCursor::new(Arc::clone(&trace)))
-                .expect("fig-6a cells carry no overrides")
-                .run(COMMITS)
-                .stats
-        })
-        .collect();
+    let replay = |opts: SimOptions| {
+        let mut sim = opts
+            .build_source(TraceCursor::new(Arc::clone(&trace)))
+            .expect("fig-6a cells carry no overrides");
+        let run = sim.run(COMMITS);
+        (run.stats, sim.phase_report())
+    };
 
     // (event-ring capacity, phase profiling): the four monomorphized
     // instantiations of the record loop.
-    for (events, phases) in [(0usize, false), (512, false), (0, true), (512, true)] {
-        let opts: Vec<SimOptions> = FIG6A_SCHEMES
-            .iter()
-            .map(|&(scheme, predication, _)| {
+    for &(scheme, predication, _) in &FIG6A_SCHEMES {
+        let (plain, _) = replay(SimOptions::new(scheme, predication));
+        for (events, phases) in [(0usize, false), (512, false), (0, true), (512, true)] {
+            let (stats, report) = replay(
                 SimOptions::new(scheme, predication)
                     .trace_events(events)
-                    .profile_phases(phases)
-            })
-            .collect();
-        let mut set = LaneSet::new(TraceCursor::new(Arc::clone(&trace)), &opts)
-            .expect("fig-6a cells carry no overrides");
-        let runs = set.run(COMMITS);
-        for ((run, solo), &(scheme, _, _)) in runs.iter().zip(&solo).zip(&FIG6A_SCHEMES) {
+                    .profile_phases(phases),
+            );
             assert_eq!(
-                run.stats,
-                *solo,
-                "events={events} phases={phases}: {} lane diverged from plain solo replay",
+                stats,
+                plain,
+                "events={events} phases={phases}: {} diverged from plain replay",
                 scheme.name()
             );
-        }
-        // Profiled lanes carry an attribution report; unprofiled lanes
-        // carry none — and only profiled lanes pay for one.
-        let reports = set.phase_reports();
-        for report in &reports {
+            // Profiled runs carry an attribution report; unprofiled runs
+            // carry none — and only profiled runs pay for one.
             assert_eq!(report.is_some(), phases, "events={events} phases={phases}");
-        }
-        if phases {
-            let records: u64 = reports.iter().flatten().map(|r| r.records).sum();
-            assert_eq!(
-                records,
-                trace.len() * FIG6A_SCHEMES.len() as u64,
-                "every lane profiles every record exactly once"
-            );
-            let total: u64 = reports.iter().flatten().map(|r| r.total_nanos()).sum();
-            assert!(total > 0, "profiled lanes must attribute time");
+            if let Some(report) = report {
+                assert_eq!(
+                    report.records,
+                    trace.len(),
+                    "every record is profiled exactly once"
+                );
+                assert!(
+                    report.total_nanos() > 0,
+                    "profiled runs must attribute time"
+                );
+            }
         }
     }
 }
